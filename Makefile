@@ -8,9 +8,10 @@ RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federat
 # scheduling engine and the metrics layer are the paper's core claims,
 # the linter is the gate everything else leans on, the journal is what
 # crash recovery trusts, the event spine is what every consumer of
-# lifecycle state (journal, trace, obs, wire) now rides on, and the
-# admission plane decides which tasks are turned away at the door.
-COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/trace internal/admission
+# lifecycle state (journal, trace, obs, wire) now rides on, the
+# admission plane decides which tasks are turned away at the door, and
+# the task store's per-status indexes are what every snapshot reads.
+COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/trace internal/admission internal/taskq
 COVER_FLOOR = 70
 
 .PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench wire-baseline overload overload-baseline fuzz coverage ci

@@ -121,6 +121,10 @@ func main() {
 	admitFloor := flag.Float64("admit-floor", 0, "reject submissions whose predicted deadline-meeting probability falls below this (0 disables; needs -admission)")
 	admitRate := flag.Float64("admit-rate", 0, "per-requester submit tokens per second (0 = unlimited; needs -admission)")
 	flag.Parse()
+	if err := checkGridDurability(*grid, *dataDir, *profiles); err != nil {
+		fmt.Fprintf(os.Stderr, "reactd: %v\n", err)
+		os.Exit(2)
+	}
 
 	var matcher matching.Matcher
 	switch *matcherName {
@@ -172,14 +176,6 @@ func main() {
 	var err error
 	if *grid != "" {
 		srv, err = serveGrid(*addr, *grid, *area, opts, ow)
-		if *profiles != "" {
-			log.Print("reactd: -profiles is ignored in multi-region mode")
-			*profiles = ""
-		}
-		if *dataDir != "" {
-			log.Print("reactd: -data-dir is ignored in multi-region mode")
-			*dataDir = ""
-		}
 	} else {
 		if *dataDir != "" {
 			// The journal subsumes the profile snapshot: it recovers
@@ -295,6 +291,22 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Printf("reactd: close: %v", err)
 	}
+}
+
+// checkGridDurability refuses the durability flags multi-region mode
+// cannot honour: grid regions neither journal nor snapshot profiles, and a
+// user who asked for durability must not silently run without it.
+func checkGridDurability(grid, dataDir, profiles string) error {
+	if grid == "" {
+		return nil
+	}
+	if dataDir != "" {
+		return fmt.Errorf("-data-dir is not supported with -grid: multi-region mode does not journal")
+	}
+	if profiles != "" {
+		return fmt.Errorf("-profiles is not supported with -grid: multi-region mode does not save profiles")
+	}
+	return nil
 }
 
 // serveGrid hosts one region server per grid cell behind a single port,

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"time"
 
 	"react/internal/clock"
@@ -14,10 +13,11 @@ import (
 // so completions and submissions arriving concurrently with a running batch
 // contend on 1/N of the locks the old single manager forced them through.
 //
-// Snapshot operations (Unassigned, AssignedTasks, ExpireUnassigned) merge
-// the per-shard results and re-sort them globally, so every observable
-// ordering is identical to a single-manager store regardless of the shard
-// count — the property the determinism gate relies on.
+// Snapshot operations (Unassigned, AssignedTasks, ExpireUnassigned) k-way
+// merge the per-shard results, each already sorted in the snapshot's
+// order, so every observable ordering is identical to a single-manager
+// store regardless of the shard count — the property the determinism gate
+// relies on.
 type TaskStore struct {
 	shards []*taskq.Manager
 }
@@ -88,50 +88,36 @@ func (s *TaskStore) Shed(taskID string) (taskq.Record, error) {
 }
 
 // Unassigned snapshots the tasks waiting for a worker, oldest submission
-// first (ties broken by id), merged across shards. The merge collects the
-// per-shard slices first and allocates the result once at the summed
-// length: this runs on the per-batch hot path, where growing the slice by
-// repeated append costs a realloc-and-copy per doubling.
+// first (ties broken by id), merged across shards.
 func (s *TaskStore) Unassigned() []taskq.Task {
-	if len(s.shards) == 1 {
-		return s.shards[0].Unassigned()
-	}
-	parts := make([][]taskq.Task, len(s.shards))
-	total := 0
-	for i, m := range s.shards {
-		parts[i] = m.Unassigned()
-		total += len(parts[i])
-	}
-	out := make([]taskq.Task, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Submitted.Equal(out[j].Submitted) {
-			return out[i].Submitted.Before(out[j].Submitted)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return mergeShards(s, (*taskq.Manager).Unassigned, taskq.SubmissionOrder)
 }
 
-// mergeRecords merges one record-snapshot call across shards into a single
-// id-sorted slice, presized to the exact total (see Unassigned).
-func (s *TaskStore) mergeRecords(snap func(*taskq.Manager) []taskq.Record) []taskq.Record {
+// mergeShards takes one snapshot per shard, each sorted by cmp, and merges
+// them into one slice sorted by cmp, allocated once at the summed length.
+// Each step picks the least head among the shards: O(n·shards), with no
+// re-sort of the concatenation.
+func mergeShards[T any](s *TaskStore, snap func(*taskq.Manager) []T, cmp func(a, b *T) int) []T {
 	if len(s.shards) == 1 {
 		return snap(s.shards[0])
 	}
-	parts := make([][]taskq.Record, len(s.shards))
+	parts := make([][]T, len(s.shards))
 	total := 0
 	for i, m := range s.shards {
 		parts[i] = snap(m)
 		total += len(parts[i])
 	}
-	out := make([]taskq.Record, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	out := make([]T, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, p := range parts {
+			if len(p) > 0 && (best < 0 || cmp(&p[0], &parts[best][0]) < 0) {
+				best = i
+			}
+		}
+		out = append(out, parts[best][0])
+		parts[best] = parts[best][1:]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
 }
 
@@ -148,19 +134,19 @@ func (s *TaskStore) UnassignedCount() int {
 // AssignedTasks snapshots the records currently executing, sorted by task
 // id across shards, for the Eq. 2 monitor.
 func (s *TaskStore) AssignedTasks() []taskq.Record {
-	return s.mergeRecords((*taskq.Manager).AssignedTasks)
+	return mergeShards(s, (*taskq.Manager).AssignedTasks, taskq.IDOrder)
 }
 
 // ExpireUnassigned expires every overdue task still waiting in the pool and
 // returns their records sorted by task id.
 func (s *TaskStore) ExpireUnassigned() []taskq.Record {
-	return s.mergeRecords((*taskq.Manager).ExpireUnassigned)
+	return mergeShards(s, (*taskq.Manager).ExpireUnassigned, taskq.IDOrder)
 }
 
 // ExpireDue expires every overdue non-terminal task, assigned or not, and
 // returns their records sorted by task id.
 func (s *TaskStore) ExpireDue() []taskq.Record {
-	return s.mergeRecords((*taskq.Manager).ExpireDue)
+	return mergeShards(s, (*taskq.Manager).ExpireDue, taskq.IDOrder)
 }
 
 // Counts sums how many tasks are in each state across shards.

@@ -57,8 +57,8 @@ type Stats struct {
 	Accepted int64 // connections accepted and linked to the target
 	Refused  int64 // connections rejected (partitioned, or target down)
 	Resets   int64 // connections hard-reset by fault injection
-	BytesUp  int64 // client→server bytes forwarded
-	BytesDn  int64 // server→client bytes forwarded
+	BytesUp  int64 // client→server bytes forwarded (counted as each chunk is handed on)
+	BytesDn  int64 // server→client bytes forwarded (likewise)
 }
 
 // Proxy is a running fault-injection proxy. Safe for concurrent use.
@@ -325,10 +325,12 @@ func (p *Proxy) pipe(l *link, src, dst net.Conn, counter *int64) {
 			for p.partitionedNow() {
 				p.clk.Sleep(partitionPoll)
 			}
+			// Count before the write: once dst has the bytes, a reply to
+			// them can reach the client before a count taken afterwards.
+			p.countBytes(counter, n)
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			p.countBytes(counter, n)
 		}
 		if err != nil {
 			return

@@ -7,9 +7,11 @@
 package taskq
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,11 +137,24 @@ type Event struct {
 }
 
 // Manager is the Task Management Component. It is safe for concurrent use.
+//
+// Besides the id-keyed registry it keeps one index per status, updated by
+// every mutation under the same mutex, so the hot reads (the Eq. 2 sweep,
+// the batch snapshot, expiry and retention) cost O(live) rather than
+// O(retained): a long retention window no longer taxes them.
 type Manager struct {
-	clk     clock.Clock
-	mu      sync.Mutex
-	records map[string]*Record
-	counts  [4]int
+	clk        clock.Clock
+	mu         sync.Mutex
+	records    map[string]*Record
+	unassigned map[string]*Record
+	assigned   map[string]*Record
+	// terminal holds every terminal record, earliest FinishedAt first.
+	// Forget leaves its entry behind; retention drops such stale entries
+	// as they surface (an entry is live only while records maps its id to
+	// the same pointer), and Forget compacts the heap once they dominate.
+	terminal terminalHeap
+	stale    int // entries in terminal that Forget already removed
+	counts   [4]int
 	// unassignedHW is the peak unassigned backlog ever observed — the
 	// quantity that reveals batch-trigger starvation or matcher collapse
 	// on a dashboard long after the spike itself has drained.
@@ -154,7 +169,12 @@ type Manager struct {
 
 // NewManager creates a manager reading time from clk.
 func NewManager(clk clock.Clock) *Manager {
-	return &Manager{clk: clk, records: make(map[string]*Record)}
+	return &Manager{
+		clk:        clk,
+		records:    make(map[string]*Record),
+		unassigned: make(map[string]*Record),
+		assigned:   make(map[string]*Record),
+	}
 }
 
 // SetSink installs the mutation observer (see Event). It must be set
@@ -192,10 +212,7 @@ func (m *Manager) Restore(r Record) error {
 	}
 	rec := r
 	m.records[r.Task.ID] = &rec
-	m.counts[r.Status]++
-	if m.counts[Unassigned] > m.unassignedHW {
-		m.unassignedHW = m.counts[Unassigned]
-	}
+	m.index(&rec)
 	return nil
 }
 
@@ -214,10 +231,7 @@ func (m *Manager) Submit(t Task) error {
 	t.Submitted = now
 	r := &Record{Task: t, Status: Unassigned}
 	m.records[t.ID] = r
-	m.counts[Unassigned]++
-	if m.counts[Unassigned] > m.unassignedHW {
-		m.unassignedHW = m.counts[Unassigned]
-	}
+	m.index(r)
 	m.emit(EvSubmit, r, now, "", CauseSubmit, 0)
 	return nil
 }
@@ -238,19 +252,37 @@ func (m *Manager) Get(id string) (Record, bool) {
 func (m *Manager) Unassigned() []Task {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Task, 0, m.counts[Unassigned])
-	for _, r := range m.records {
-		if r.Status == Unassigned {
-			out = append(out, r.Task)
-		}
+	rs := sortedRecords(m.unassigned, func(a, b *Record) int { return SubmissionOrder(&a.Task, &b.Task) })
+	out := make([]Task, len(rs))
+	for i, r := range rs {
+		out[i] = r.Task
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Submitted.Equal(out[j].Submitted) {
-			return out[i].Submitted.Before(out[j].Submitted)
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
+}
+
+// SubmissionOrder orders tasks oldest submission first, ties broken by id:
+// the order of every Unassigned snapshot.
+func SubmissionOrder(a, b *Task) int {
+	if c := a.Submitted.Compare(b.Submitted); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
+// IDOrder orders records by task id: the order of AssignedTasks and of the
+// records the expiry calls return.
+func IDOrder(a, b *Record) int { return strings.Compare(a.Task.ID, b.Task.ID) }
+
+// sortedRecords returns the records of one status index sorted by cmp.
+// Sorting pointers rather than the records themselves keeps the swaps
+// word-sized.
+func sortedRecords(idx map[string]*Record, cmp func(a, b *Record) int) []*Record {
+	rs := make([]*Record, 0, len(idx))
+	for _, r := range idx {
+		rs = append(rs, r)
+	}
+	slices.SortFunc(rs, cmp)
+	return rs
 }
 
 // UnassignedCount reports how many tasks await assignment — the batch
@@ -316,8 +348,7 @@ func (m *Manager) Complete(taskID string) (Record, error) {
 	if r.Status != Assigned {
 		return Record{}, fmt.Errorf("%w: complete %q while %v", ErrBadState, taskID, r.Status)
 	}
-	m.transition(r, Completed)
-	r.FinishedAt = m.clk.Now()
+	m.finish(r, Completed, m.clk.Now())
 	m.emit(EvComplete, r, r.FinishedAt, r.Worker, CauseWorker, 0)
 	return *r, nil
 }
@@ -343,20 +374,26 @@ func (m *Manager) expire(includeAssigned bool) []Record {
 	now := m.clk.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []Record
-	for _, r := range m.records {
-		if r.Status != Unassigned && !(includeAssigned && r.Status == Assigned) {
-			continue
+	var due []*Record
+	collect := func(idx map[string]*Record) {
+		for _, r := range idx {
+			if !r.Task.Deadline.After(now) {
+				due = append(due, r)
+			}
 		}
-		if r.Task.Deadline.After(now) {
-			continue
-		}
-		m.transition(r, Expired)
-		r.FinishedAt = now
-		m.emit(EvExpire, r, now, r.Worker, CauseDeadline, 0)
-		out = append(out, *r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
+	collect(m.unassigned)
+	if includeAssigned {
+		collect(m.assigned)
+	}
+	// Expire in id order, so the sink sees the same sequence on every run.
+	slices.SortFunc(due, IDOrder)
+	out := make([]Record, len(due))
+	for i, r := range due {
+		m.finish(r, Expired, now)
+		m.emit(EvExpire, r, now, r.Worker, CauseDeadline, 0)
+		out[i] = *r
+	}
 	return out
 }
 
@@ -379,8 +416,7 @@ func (m *Manager) Shed(taskID string) (Record, error) {
 	if r.Status != Unassigned {
 		return Record{}, fmt.Errorf("%w: shed %q while %v", ErrBadState, taskID, r.Status)
 	}
-	m.transition(r, Expired)
-	r.FinishedAt = now
+	m.finish(r, Expired, now)
 	m.emit(EvExpire, r, now, r.Worker, CauseShed, 0)
 	return *r, nil
 }
@@ -416,13 +452,11 @@ func (m *Manager) Elapsed(taskID string) (time.Duration, error) {
 func (m *Manager) AssignedTasks() []Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Record, 0, m.counts[Assigned])
-	for _, r := range m.records {
-		if r.Status == Assigned {
-			out = append(out, *r)
-		}
+	rs := sortedRecords(m.assigned, IDOrder)
+	out := make([]Record, len(rs))
+	for i, r := range rs {
+		out[i] = *r
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
 }
 
@@ -452,8 +486,14 @@ func (m *Manager) Forget(taskID string) error {
 	if r.Status != Completed && r.Status != Expired {
 		return fmt.Errorf("%w: forget %q while %v", ErrBadState, taskID, r.Status)
 	}
-	m.counts[r.Status]--
+	m.unindex(r)
 	delete(m.records, taskID)
+	m.stale++
+	if m.stale > len(m.terminal)/2 {
+		m.terminal = slices.DeleteFunc(m.terminal, func(e *Record) bool { return m.records[e.Task.ID] != e })
+		heap.Init(&m.terminal)
+		m.stale = 0
+	}
 	m.emit(EvForget, r, m.clk.Now(), r.Worker, CauseExplicit, 0)
 	return nil
 }
@@ -482,33 +522,88 @@ func (m *Manager) MarkGraded(taskID string) error {
 // terminal instant precedes cutoff, returning how many were removed. A
 // long-running server calls this periodically to bound registry memory;
 // REACT's own components never read terminal records after the requester
-// has been notified.
+// has been notified. Records leave oldest first, ties by id, so the sink
+// sees the same sequence on every run; the cost is O(removed · log n).
 func (m *Manager) ForgetTerminatedBefore(cutoff time.Time) int {
 	now := m.clk.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	removed := 0
-	for id, r := range m.records {
-		if r.Status != Completed && r.Status != Expired {
+	for len(m.terminal) > 0 && m.terminal[0].FinishedAt.Before(cutoff) {
+		r := heap.Pop(&m.terminal).(*Record)
+		if m.records[r.Task.ID] != r {
+			m.stale--
 			continue
 		}
-		if r.FinishedAt.Before(cutoff) {
-			m.counts[r.Status]--
-			delete(m.records, id)
-			m.emit(EvForget, r, now, r.Worker, CauseRetention, 0)
-			removed++
-		}
+		m.unindex(r)
+		delete(m.records, r.Task.ID)
+		m.emit(EvForget, r, now, r.Worker, CauseRetention, 0)
+		removed++
 	}
 	return removed
 }
 
+// transition moves a live record to another non-terminal status.
 func (m *Manager) transition(r *Record, to Status) {
-	m.counts[r.Status]--
-	m.counts[to]++
+	m.unindex(r)
 	r.Status = to
-	if to == Unassigned && m.counts[Unassigned] > m.unassignedHW {
-		m.unassignedHW = m.counts[Unassigned]
+	m.index(r)
+}
+
+// finish moves a live record to a terminal status at instant at.
+func (m *Manager) finish(r *Record, to Status, at time.Time) {
+	m.unindex(r)
+	r.Status = to
+	r.FinishedAt = at
+	m.index(r)
+}
+
+// index counts r under its status and files it in that status's index.
+// Callers hold m.mu; a terminal r must already carry its FinishedAt.
+func (m *Manager) index(r *Record) {
+	m.counts[r.Status]++
+	switch r.Status {
+	case Unassigned:
+		m.unassigned[r.Task.ID] = r
+		m.unassignedHW = max(m.unassignedHW, m.counts[Unassigned])
+	case Assigned:
+		m.assigned[r.Task.ID] = r
+	default:
+		heap.Push(&m.terminal, r)
 	}
+}
+
+// unindex reverses index, except that a terminal record's heap entry is
+// left for retention or compaction to drop. Callers hold m.mu.
+func (m *Manager) unindex(r *Record) {
+	m.counts[r.Status]--
+	switch r.Status {
+	case Unassigned:
+		delete(m.unassigned, r.Task.ID)
+	case Assigned:
+		delete(m.assigned, r.Task.ID)
+	}
+}
+
+// terminalHeap is a container/heap of terminal records ordered by
+// (FinishedAt, id).
+type terminalHeap []*Record
+
+func (h terminalHeap) Len() int { return len(h) }
+func (h terminalHeap) Less(i, j int) bool {
+	if c := h[i].FinishedAt.Compare(h[j].FinishedAt); c != 0 {
+		return c < 0
+	}
+	return h[i].Task.ID < h[j].Task.ID
+}
+func (h terminalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *terminalHeap) Push(x any)   { *h = append(*h, x.(*Record)) }
+func (h *terminalHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return r
 }
 
 // UnassignedHighWater reports the peak unassigned backlog this manager has

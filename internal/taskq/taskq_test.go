@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -496,5 +499,200 @@ func TestUnassignedHighWater(t *testing.T) {
 	}
 	if hw := m.UnassignedHighWater(); hw != 4 {
 		t.Fatalf("high-water after refill = %d, want 4", hw)
+	}
+}
+
+// drive applies a seeded random sequence of every mutating operation to m,
+// calling check after each one. The id space is small, so Forget followed
+// by a re-Submit of the same id recurs, and Restore files terminal records
+// whose FinishedAt lies out of order with the ones already retained.
+func drive(t *testing.T, seed int64, m *Manager, clk *clock.Virtual, check func(op string)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for step := 0; step < 400; step++ {
+		id := fmt.Sprintf("t%d", rng.Intn(16))
+		var op string
+		switch rng.Intn(13) {
+		case 0, 1:
+			op = "submit"
+			m.Submit(testTask(id, clk.Now().Sub(clock.Epoch)+time.Duration(1+rng.Intn(40))*time.Second))
+		case 2:
+			op = "assign"
+			m.Assign(id, fmt.Sprintf("w%d", rng.Intn(4)))
+		case 3:
+			op = "unassign"
+			m.Unassign(id, CauseEq2, 0.05)
+		case 4:
+			op = "complete"
+			m.Complete(id)
+		case 5:
+			op = "shed"
+			m.Shed(id)
+		case 6:
+			op = "expire-due"
+			m.ExpireDue()
+		case 7:
+			op = "expire-unassigned"
+			m.ExpireUnassigned()
+		case 8:
+			op = "forget"
+			m.Forget(id)
+		case 9:
+			op = "forget-before"
+			m.ForgetTerminatedBefore(clk.Now().Add(-time.Duration(rng.Intn(30)) * time.Second))
+		case 10:
+			op = "grade"
+			m.MarkGraded(id)
+		case 11:
+			op = "restore"
+			status := Status(rng.Intn(4))
+			r := Record{Task: testTask(id, clk.Now().Sub(clock.Epoch)+time.Minute), Status: status}
+			r.Task.Submitted = clk.Now().Add(-time.Duration(rng.Intn(30)) * time.Second)
+			if status == Assigned {
+				r.Worker, r.AssignedAt, r.Attempts = "w0", clk.Now(), 1
+			}
+			if status >= Completed {
+				r.FinishedAt = clk.Now().Add(-time.Duration(rng.Intn(60)) * time.Second)
+			}
+			m.Restore(r)
+		case 12:
+			op = "advance"
+			clk.Advance(time.Duration(rng.Intn(8)) * time.Second)
+		}
+		check(op)
+	}
+}
+
+// TestIndexesMatchBruteForce is the model check for the per-status
+// indexes: after every operation the indexed snapshots, Counts and the
+// retention heap agree with a brute-force scan over every record.
+func TestIndexesMatchBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		clk := clock.NewVirtual(clock.Epoch)
+		m := NewManager(clk)
+		drive(t, seed, m, clk, func(op string) {
+			var wantU []Task
+			var wantA []Record
+			var counts [4]int
+			live := map[*Record]bool{}
+			for _, r := range m.records {
+				counts[r.Status]++
+				switch r.Status {
+				case Unassigned:
+					wantU = append(wantU, r.Task)
+				case Assigned:
+					wantA = append(wantA, *r)
+				default:
+					live[r] = true
+				}
+			}
+			sort.Slice(wantU, func(i, j int) bool {
+				if !wantU[i].Submitted.Equal(wantU[j].Submitted) {
+					return wantU[i].Submitted.Before(wantU[j].Submitted)
+				}
+				return wantU[i].ID < wantU[j].ID
+			})
+			sort.Slice(wantA, func(i, j int) bool { return wantA[i].Task.ID < wantA[j].Task.ID })
+
+			if got := m.Unassigned(); !reflect.DeepEqual(got, wantU) && len(got)+len(wantU) > 0 {
+				t.Fatalf("seed %d after %s: Unassigned = %v, scan = %v", seed, op, got, wantU)
+			}
+			if got := m.AssignedTasks(); !reflect.DeepEqual(got, wantA) && len(got)+len(wantA) > 0 {
+				t.Fatalf("seed %d after %s: AssignedTasks = %v, scan = %v", seed, op, got, wantA)
+			}
+			if u, a, c, e := m.Counts(); [4]int{u, a, c, e} != counts {
+				t.Fatalf("seed %d after %s: Counts = %d/%d/%d/%d, scan = %v", seed, op, u, a, c, e, counts)
+			}
+			if m.UnassignedCount() != counts[Unassigned] || m.UnassignedHighWater() < counts[Unassigned] {
+				t.Fatalf("seed %d after %s: UnassignedCount %d / high-water %d, scan %d", seed, op, m.UnassignedCount(), m.UnassignedHighWater(), counts[Unassigned])
+			}
+			// Every retained terminal record sits in the heap exactly once;
+			// the rest of the heap is the stale tally.
+			filed := map[*Record]int{}
+			for i, r := range m.terminal {
+				filed[r]++
+				if i > 0 && m.terminal.Less(i, (i-1)/2) {
+					t.Fatalf("seed %d after %s: heap order broken at %d", seed, op, i)
+				}
+			}
+			for r := range live {
+				if filed[r] != 1 {
+					t.Fatalf("seed %d after %s: terminal %q filed %d times", seed, op, r.Task.ID, filed[r])
+				}
+			}
+			if len(m.terminal)-m.stale != len(live) {
+				t.Fatalf("seed %d after %s: heap %d - stale %d != %d terminal records", seed, op, len(m.terminal), m.stale, len(live))
+			}
+		})
+	}
+}
+
+// TestForgetThenResubmitSurvivesRetention: an explicitly forgotten record
+// leaves a stale heap entry behind; a re-submitted task with the same id
+// must not be retired by it.
+func TestForgetThenResubmitSurvivesRetention(t *testing.T) {
+	m, clk := newTestManager()
+	m.Submit(testTask("t1", time.Hour))
+	m.Assign("t1", "w")
+	m.Complete("t1") // finished at +0
+	m.Submit(testTask("keep", time.Hour))
+	m.Assign("keep", "w")
+	m.Complete("keep") // keeps the stale entry below the compaction bound
+	if err := m.Forget("t1"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute)
+	m.Submit(testTask("t1", time.Hour))
+	m.Assign("t1", "w")
+	m.Complete("t1") // finished at +1m
+	if got := m.ForgetTerminatedBefore(clock.Epoch.Add(time.Second)); got != 1 {
+		t.Fatalf("removed %d, want 1 (only keep)", got)
+	}
+	if r, ok := m.Get("t1"); !ok || !r.FinishedAt.Equal(clock.Epoch.Add(time.Minute)) {
+		t.Fatalf("re-submitted t1 = %+v, %v", r, ok)
+	}
+}
+
+// TestBulkMutationsEmitInStableOrder: two managers given the same
+// operations see the same event sequence, so the spine and the journal do
+// not depend on map iteration order. Expiries go out in id order and
+// retention forgets in (FinishedAt, id) order.
+func TestBulkMutationsEmitInStableOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		var logs [2][]Event
+		for k := range logs {
+			clk := clock.NewVirtual(clock.Epoch)
+			m := NewManager(clk)
+			m.SetSink(func(ev Event) { logs[k] = append(logs[k], ev) })
+			drive(t, seed, m, clk, func(string) {})
+		}
+		if len(logs[0]) != len(logs[1]) {
+			t.Fatalf("seed %d: %d vs %d events", seed, len(logs[0]), len(logs[1]))
+		}
+		for i := range logs[0] {
+			if !reflect.DeepEqual(logs[0][i], logs[1][i]) {
+				t.Fatalf("seed %d: event %d differs:\n%+v\n%+v", seed, i, logs[0][i], logs[1][i])
+			}
+		}
+	}
+
+	m, clk := newTestManager()
+	var got []string
+	m.SetSink(func(ev Event) {
+		if ev.Kind == EvExpire || ev.Kind == EvForget {
+			got = append(got, ev.Record.Task.ID)
+		}
+	})
+	for _, id := range []string{"d", "b", "e", "a", "c"} {
+		m.Submit(testTask(id, 10*time.Second))
+	}
+	clk.Advance(time.Minute)
+	m.ExpireUnassigned()
+	for _, id := range []string{"z", "y"} {
+		m.Restore(Record{Task: testTask(id, time.Second), Status: Completed, FinishedAt: clock.Epoch})
+	}
+	m.ForgetTerminatedBefore(clk.Now().Add(time.Second))
+	if want := "a b c d e y z a b c d e"; strings.Join(got, " ") != want {
+		t.Fatalf("order = %q, want %q", strings.Join(got, " "), want)
 	}
 }

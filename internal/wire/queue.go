@@ -69,7 +69,8 @@ func (q *pushQueue[T]) push(v T) {
 // close stops the queue: the pump delivers nothing further and the out
 // channel closes, exactly like a closed channel would — undelivered items
 // are dropped, which is correct because they belonged to a dead
-// connection. Idempotent.
+// connection. The first call returns once the pump has exited.
+// Idempotent.
 func (q *pushQueue[T]) close() {
 	q.mu.Lock()
 	if q.closed {
@@ -83,14 +84,14 @@ func (q *pushQueue[T]) close() {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	// Retract a delivery the pump may already be parked on: without this, a
-	// consumer arriving after close() could still rendezvous with that
-	// parked send and receive one more item. The steal pairs with the
-	// parked send — dropping the item, which belonged to this dead
-	// connection — or takes the default when no send is pending.
-	select {
-	case <-q.out:
-	default:
+	// Drain until the pump exits and closes out: a delivery it was about
+	// to offer (or already parked on) lands here and is dropped, since it
+	// belonged to this dead connection. A one-shot steal is not enough:
+	// a pump between its dead check and its send parks only after the
+	// steal has looked, and then a consumer arriving after close() could
+	// still receive the item. The pump sends at most one more item once
+	// dead is closed, so this returns promptly.
+	for range q.out {
 	}
 }
 

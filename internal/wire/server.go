@@ -644,18 +644,20 @@ func (c *conn) teardown() {
 	delete(s.conns, c)
 	closed := s.closed
 	s.mu.Unlock()
+	if c.worker != "" && !closed {
+		// A vanished worker's held task goes back to the pool; the profile
+		// survives the disconnect so a later register reconnects with its
+		// learned history intact. Detach comes before the close below, so
+		// the worker is unavailable before its peer can see EOF: no batch
+		// round matches tasks to a connection that is already gone.
+		s.backend.DetachWorker(c.worker)
+	}
 	// Flush-on-close before the socket drops: a reply enqueued just before
 	// the peer's EOF (deregister, a final stats answer) still reaches a
 	// peer that is shutting down write-first. The final flush is bounded,
 	// so a wedged peer cannot stall teardown.
 	c.w.close()
 	c.c.Close()
-	if c.worker != "" && !closed {
-		// A vanished worker's held task goes back to the pool; the profile
-		// survives the disconnect so a later register reconnects with its
-		// learned history intact.
-		s.backend.DetachWorker(c.worker)
-	}
 }
 
 // ErrClosed is returned by client operations after Close.

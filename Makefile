@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/engine ./internal/core ./internal/wire ./internal/federat
 COVER_PKGS = internal/engine internal/metrics internal/lint internal/journal internal/event internal/trace internal/admission internal/taskq
 COVER_FLOOR = 70
 
-.PHONY: all build lint lint-typed lockorder lockorder-check vet test race chaos recovery determinism bench wire-baseline overload overload-baseline fuzz coverage ci
+.PHONY: all build fmt-check lint lint-typed lockorder lockorder-check vet test livebench-test race chaos recovery determinism bench wire-baseline overload overload-baseline fuzz coverage ci
 
 all: build lint test
 
@@ -23,6 +23,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree
+# (the live benchmark's build directory aside).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+		[ -z "$$out" ] || { echo "gofmt would rewrite:"; echo "$$out"; exit 1; }
 
 # reactlint is the project-specific suite (docs/LINTING.md). Both tiers:
 # syntactic (clock discipline, seeded randomness, lock hygiene, goroutine
@@ -49,6 +55,11 @@ lockorder-check:
 
 test:
 	$(GO) test ./...
+
+# The live benchmark is its own module under a `_` directory, so `./...`
+# above never reaches it; vet and test it from inside.
+livebench-test:
+	cd _livebench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -136,4 +147,4 @@ coverage:
 		fi; \
 	done
 
-ci: build lint test race chaos recovery determinism
+ci: build fmt-check lint test livebench-test race chaos recovery determinism

@@ -50,7 +50,11 @@ type Builder struct {
 	workerIdx map[string]int32
 	taskIdx   map[string]int32
 	edges     []Edge
-	seen      map[[2]int32]struct{}
+	// seen indexes the edges for duplicate detection. It stays nil while
+	// edges arrive in strictly increasing (worker, task) order, where a
+	// repeat is impossible, and is built from the edges so far the first
+	// time one arrives out of order.
+	seen map[[2]int32]struct{}
 }
 
 // NewBuilder pre-sizes the builder for the expected vertex counts.
@@ -67,6 +71,17 @@ func (b *Builder) init() {
 	if b.workerIdx == nil {
 		b.workerIdx = make(map[string]int32)
 		b.taskIdx = make(map[string]int32)
+	}
+}
+
+// ReserveEdges grows the edge buffer to hold at least n more edges, so a
+// caller that knows an upper bound pays for one allocation instead of
+// repeated regrowth.
+func (b *Builder) ReserveEdges(n int) {
+	if n > cap(b.edges)-len(b.edges) {
+		grown := make([]Edge, len(b.edges), len(b.edges)+n)
+		copy(grown, b.edges)
+		b.edges = grown
 	}
 }
 
@@ -121,14 +136,21 @@ func (b *Builder) AddEdgeIdx(worker, task int32, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("%w: %v on (%d,%d)", ErrNegativeWeight, weight, worker, task)
 	}
-	if b.seen == nil {
-		b.seen = make(map[[2]int32]struct{})
+	if n := len(b.edges); b.seen == nil && n > 0 {
+		if last := b.edges[n-1]; worker < last.Worker || (worker == last.Worker && task <= last.Task) {
+			b.seen = make(map[[2]int32]struct{}, n+1)
+			for _, e := range b.edges {
+				b.seen[[2]int32{e.Worker, e.Task}] = struct{}{}
+			}
+		}
 	}
-	key := [2]int32{worker, task}
-	if _, dup := b.seen[key]; dup {
-		return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, worker, task)
+	if b.seen != nil {
+		key := [2]int32{worker, task}
+		if _, dup := b.seen[key]; dup {
+			return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, worker, task)
+		}
+		b.seen[key] = struct{}{}
 	}
-	b.seen[key] = struct{}{}
 	b.edges = append(b.edges, Edge{Worker: worker, Task: task, Weight: weight})
 	return nil
 }
@@ -206,8 +228,9 @@ func (g *Graph) MaxWeight() float64 {
 }
 
 // Full builds the complete bipartite graph on nWorkers×nTasks vertices with
-// weights produced by weight(i, j). It is the worst-case topology the
-// paper's Figure 3/4 experiments use.
+// weights produced by weight(i, j), which must be non-negative (Full panics
+// on a negative weight, as AddEdgeIdx rejects it). It is the worst-case
+// topology the paper's Figure 3/4 experiments use.
 func Full(nWorkers, nTasks int, weight func(w, t int) float64) *Graph {
 	b := NewBuilder(nWorkers, nTasks)
 	for i := 0; i < nWorkers; i++ {
@@ -220,12 +243,12 @@ func Full(nWorkers, nTasks int, weight func(w, t int) float64) *Graph {
 			panic(err)
 		}
 	}
-	b.edges = make([]Edge, 0, nWorkers*nTasks)
+	b.ReserveEdges(nWorkers * nTasks)
 	for i := 0; i < nWorkers; i++ {
 		for j := 0; j < nTasks; j++ {
-			// Bypass the duplicate map: the nest is duplicate-free by
-			// construction and the map would dominate build time at 10⁶ edges.
-			b.edges = append(b.edges, Edge{Worker: int32(i), Task: int32(j), Weight: weight(i, j)})
+			if err := b.AddEdgeIdx(int32(i), int32(j), weight(i, j)); err != nil {
+				panic(err) // a negative weight: the caller's bug
+			}
 		}
 	}
 	return b.Build()

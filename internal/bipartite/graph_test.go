@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,145 @@ func TestBuilderRejectsUnknownAndNegative(t *testing.T) {
 	}
 	if err := b.AddEdgeIdx(0, -1, 1); !errors.Is(err, ErrUnknownVertex) {
 		t.Fatalf("bad task idx err = %v", err)
+	}
+}
+
+// vertices returns a builder with n workers and n tasks.
+func vertices(t *testing.T, n int) *Builder {
+	t.Helper()
+	b := NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		if _, err := b.AddWorker(fmt.Sprintf("w%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.AddTask(fmt.Sprintf("t%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+func TestBuilderInOrderSkipsDuplicateIndex(t *testing.T) {
+	b := vertices(t, 3)
+	b.ReserveEdges(9)
+	for w := int32(0); w < 3; w++ {
+		for tk := int32(0); tk < 3; tk += 2 {
+			if err := b.AddEdgeIdx(w, tk, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if b.seen != nil {
+		t.Fatal("in-order inserts built the duplicate index")
+	}
+	// Repeating the last edge arrives while no index exists; it is not
+	// strictly increasing, so it is still caught.
+	if err := b.AddEdgeIdx(2, 2, 1); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("in-order repeat err = %v", err)
+	}
+	if got := b.Build().NumEdges(); got != 6 {
+		t.Fatalf("edges = %d, want 6", got)
+	}
+}
+
+func TestBuilderOutOfOrderRepeatRejected(t *testing.T) {
+	b := vertices(t, 3)
+	for _, e := range [][2]int32{{0, 0}, {0, 2}, {1, 1}, {2, 0}} {
+		if err := b.AddEdgeIdx(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first out-of-order edge is a repeat of an in-order one.
+	if err := b.AddEdgeIdx(0, 2, 1); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("out-of-order repeat err = %v", err)
+	}
+	// A fresh out-of-order edge is accepted; afterwards repeats of both
+	// in-order and out-of-order edges are still rejected.
+	if err := b.AddEdgeIdx(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if b.seen == nil {
+		t.Fatal("out-of-order insert did not build the duplicate index")
+	}
+	for _, e := range [][2]int32{{1, 0}, {0, 0}, {2, 0}, {1, 1}} {
+		if err := b.AddEdgeIdx(e[0], e[1], 1); !errors.Is(err, ErrDuplicateEdge) {
+			t.Fatalf("repeat %v err = %v", e, err)
+		}
+	}
+	// Later edges, in order again or not, still go in.
+	for _, e := range [][2]int32{{2, 2}, {0, 1}} {
+		if err := b.AddEdgeIdx(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Build().NumEdges(); got != 7 {
+		t.Fatalf("edges = %d, want 7", got)
+	}
+}
+
+// Property: in-order and shuffled insertion of the same edges give the same
+// incidence sets, and re-inserting any edge afterwards is rejected.
+func TestQuickShuffledInsertionEquivalent(t *testing.T) {
+	type half struct {
+		other  int32
+		weight float64
+	}
+	incidence := func(g *Graph) (byW, byT []map[half]bool) {
+		for w := int32(0); int(w) < g.NumWorkers(); w++ {
+			set := map[half]bool{}
+			for _, ei := range g.WorkerEdges(w) {
+				e := g.Edge(int(ei))
+				set[half{e.Task, e.Weight}] = true
+			}
+			byW = append(byW, set)
+		}
+		for tk := int32(0); int(tk) < g.NumTasks(); tk++ {
+			set := map[half]bool{}
+			for _, ei := range g.TaskEdges(tk) {
+				e := g.Edge(int(ei))
+				set[half{e.Worker, e.Weight}] = true
+			}
+			byT = append(byT, set)
+		}
+		return byW, byT
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		var edges []Edge
+		for w := 0; w < n; w++ {
+			for tk := 0; tk < n; tk++ {
+				if rng.Intn(3) > 0 {
+					edges = append(edges, Edge{Worker: int32(w), Task: int32(tk), Weight: rng.Float64()})
+				}
+			}
+		}
+		shuffled := append([]Edge(nil), edges...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var graphs [2]*Graph
+		for i, order := range [][]Edge{edges, shuffled} {
+			b := vertices(t, n)
+			for _, e := range order {
+				if err := b.AddEdgeIdx(e.Worker, e.Task, e.Weight); err != nil {
+					return false
+				}
+			}
+			for _, e := range order {
+				if err := b.AddEdgeIdx(e.Worker, e.Task, e.Weight); !errors.Is(err, ErrDuplicateEdge) {
+					return false
+				}
+			}
+			graphs[i] = b.Build()
+		}
+		if graphs[0].NumEdges() != len(edges) || graphs[1].NumEdges() != len(edges) {
+			return false
+		}
+		aw, at := incidence(graphs[0])
+		bw, bt := incidence(graphs[1])
+		return reflect.DeepEqual(aw, bw) && reflect.DeepEqual(at, bt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(13))}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -50,11 +50,11 @@ type Store struct {
 
 	// flushMu serializes disk work (flush, compaction). Never acquired
 	// while holding mu; flush takes the buffer under mu, then writes.
-	flushMu      sync.Mutex
-	lastFlushed  uint64 // highest seq durable in the active segment
-	snapPath     string
-	snapSeq      uint64
-	sealed       []string // sealed segments since the last snapshot
+	flushMu     sync.Mutex
+	lastFlushed uint64 // highest seq durable in the active segment
+	snapPath    string
+	snapSeq     uint64
+	sealed      []string // sealed segments since the last snapshot
 
 	kick chan struct{}
 	done chan struct{}

@@ -125,14 +125,26 @@ func (p *Profile) SetRewardRange(min, max float64) {
 	p.rewardMin, p.rewardMax = min, max
 }
 
-// AcceptsReward reports whether a task reward passes the worker's range.
-func (p *Profile) AcceptsReward(reward float64) bool {
+// RewardRange is a worker's reward-range filter: a task passes when its
+// reward lies in [Min, Max]. A zero Max disables the filter.
+type RewardRange struct{ Min, Max float64 }
+
+// Accepts reports whether a task reward passes the range.
+func (r RewardRange) Accepts(reward float64) bool {
+	return r.Max <= 0 || (reward >= r.Min && reward <= r.Max)
+}
+
+// RewardRange reports the worker's current range, for callers that test
+// many rewards against one worker and should take its lock once.
+func (p *Profile) RewardRange() RewardRange {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.rewardMax <= 0 {
-		return true
-	}
-	return reward >= p.rewardMin && reward <= p.rewardMax
+	return RewardRange{Min: p.rewardMin, Max: p.rewardMax}
+}
+
+// AcceptsReward reports whether a task reward passes the worker's range.
+func (p *Profile) AcceptsReward(reward float64) bool {
+	return p.RewardRange().Accepts(reward)
 }
 
 // RecordCompletion stores one finished task: its category, the execution

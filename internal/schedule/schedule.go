@@ -141,34 +141,48 @@ type BuildStats struct {
 // BuildGraph constructs the weighted bipartite graph for one batch at the
 // given instant. Workers must be the available snapshot, tasks the
 // unassigned snapshot; the function never blocks on either component.
+// A worker or task repeated in a snapshot would be a registry bug: the
+// repeat is dropped with its edges rather than corrupting the batch.
 func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now time.Time) (*bipartite.Graph, BuildStats) {
 	cfg = cfg.Normalize()
 	var st BuildStats
-	st.Workers = len(workers)
-	st.Tasks = len(tasks)
 	b := bipartite.NewBuilder(len(workers), len(tasks))
-	for _, w := range workers {
-		if _, err := b.AddWorker(w.ID()); err != nil {
-			// Duplicate worker in the snapshot would be a registry bug;
-			// skip rather than corrupt the batch.
-			st.Workers--
-			continue
+	// Builder index of each snapshot position, -1 for a dropped repeat.
+	wIdx := make([]int32, len(workers))
+	for i, w := range workers {
+		wIdx[i] = -1
+		if idx, err := b.AddWorker(w.ID()); err == nil {
+			wIdx[i] = idx
+			st.Workers++
 		}
 	}
-	for _, t := range tasks {
-		if _, err := b.AddTask(t.ID); err != nil {
-			st.Tasks--
-			continue
+	tIdx := make([]int32, len(tasks))
+	for i, t := range tasks {
+		tIdx[i] = -1
+		if idx, err := b.AddTask(t.ID); err == nil {
+			tIdx[i] = idx
+			st.Tasks++
 		}
 	}
+	// Every edge is visited once, in increasing (worker, task) order, so
+	// one reservation at the upper bound is the only edge allocation.
+	b.ReserveEdges(st.Workers * st.Tasks)
 	for wi, w := range workers {
+		if wIdx[wi] < 0 {
+			continue
+		}
 		trainee := w.Trainee(cfg.TraineeTasks)
 		model, hasModel := w.Model(cfg.MinHistory)
+		rewards := w.RewardRange()
 		if trainee {
 			st.Trainees++
 		}
-		for ti, t := range tasks {
-			if !w.AcceptsReward(t.Reward) {
+		for ti := range tasks {
+			t := &tasks[ti] // no per-edge copy of the Task
+			if tIdx[ti] < 0 {
+				continue
+			}
+			if !rewards.Accepts(t.Reward) {
 				st.PrunedReward++
 				continue
 			}
@@ -186,7 +200,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 					st.PrunedProb++
 					continue
 				}
-				weight = cfg.Weight(w, t)
+				weight = cfg.Weight(w, *t)
 				if weight < 0 {
 					weight = 0
 				}
@@ -194,7 +208,7 @@ func BuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now 
 					weight = 1
 				}
 			}
-			if err := b.AddEdgeIdx(int32(wi), int32(ti), weight); err != nil {
+			if err := b.AddEdgeIdx(wIdx[wi], tIdx[ti], weight); err != nil {
 				return nil, st // unreachable with valid indices; fail loudly via nil
 			}
 			st.Edges++

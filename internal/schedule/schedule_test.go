@@ -2,11 +2,14 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"react/internal/bipartite"
 	"react/internal/clock"
 	"react/internal/matching"
 	"react/internal/profile"
@@ -194,6 +197,158 @@ func TestBuildGraphEmptyInputs(t *testing.T) {
 	}
 }
 
+func TestBuildGraphDuplicateWorkerDropped(t *testing.T) {
+	// Workers [a, a, b] where b's reward range excludes the only task: the
+	// repeat of a is dropped with its edges, and b gets no edge.
+	r := profile.NewRegistry()
+	a, _ := r.Register("a", athens)
+	b, _ := r.Register("b", athens)
+	b.SetRewardRange(1, 2)
+	now := clock.Epoch
+	g, st := BuildGraph(Config{}, []*profile.Profile{a, a, b}, []taskq.Task{task("t1", time.Minute, now)}, now)
+	if g == nil {
+		t.Fatal("nil graph")
+	}
+	want := BuildStats{Workers: 2, Tasks: 1, Edges: 1, PrunedReward: 1, Trainees: 2}
+	if st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	if g.NumWorkers() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("graph %d workers %d edges", g.NumWorkers(), g.NumEdges())
+	}
+	if e := g.Edge(0); g.WorkerID(e.Worker) != "a" || g.TaskID(e.Task) != "t1" {
+		t.Fatalf("edge %s-%s, want a-t1", g.WorkerID(e.Worker), g.TaskID(e.Task))
+	}
+}
+
+func TestBuildGraphDuplicateTaskDropped(t *testing.T) {
+	// Tasks [t1, t1, t2] where only t2's reward fits the worker's range.
+	r := profile.NewRegistry()
+	w, _ := r.Register("w", athens)
+	w.SetRewardRange(0.1, 1)
+	now := clock.Epoch
+	t1 := task("t1", time.Minute, now)
+	t2 := task("t2", time.Minute, now)
+	t2.Reward = 0.5
+	g, st := BuildGraph(Config{}, []*profile.Profile{w}, []taskq.Task{t1, t1, t2}, now)
+	if g == nil {
+		t.Fatal("nil graph")
+	}
+	want := BuildStats{Workers: 1, Tasks: 2, Edges: 1, PrunedReward: 1, Trainees: 1}
+	if st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	if g.NumTasks() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("graph %d tasks %d edges", g.NumTasks(), g.NumEdges())
+	}
+	if e := g.Edge(0); g.WorkerID(e.Worker) != "w" || g.TaskID(e.Task) != "t2" {
+		t.Fatalf("edge %s-%s, want w-t2", g.WorkerID(e.Worker), g.TaskID(e.Task))
+	}
+}
+
+// referenceBuildGraph is the straightforward Eq. 3 construction: edges added
+// by id one at a time, the reward filter read through AcceptsReward per
+// edge. BuildGraph must produce exactly its graph on duplicate-free input.
+func referenceBuildGraph(cfg Config, workers []*profile.Profile, tasks []taskq.Task, now time.Time) (*bipartite.Graph, BuildStats) {
+	cfg = cfg.Normalize()
+	st := BuildStats{Workers: len(workers), Tasks: len(tasks)}
+	var b bipartite.Builder
+	for _, w := range workers {
+		if _, err := b.AddWorker(w.ID()); err != nil {
+			panic(err)
+		}
+	}
+	for _, t := range tasks {
+		if _, err := b.AddTask(t.ID); err != nil {
+			panic(err)
+		}
+	}
+	for _, w := range workers {
+		trainee := w.Trainee(cfg.TraineeTasks)
+		model, hasModel := w.Model(cfg.MinHistory)
+		if trainee {
+			st.Trainees++
+		}
+		for _, t := range tasks {
+			if !w.AcceptsReward(t.Reward) {
+				st.PrunedReward++
+				continue
+			}
+			weight := cfg.MaxWeight
+			if !cfg.NoPruning && !trainee && hasModel {
+				if model.ProbMeetDeadline(t.Deadline.Sub(now).Seconds()) < cfg.EdgeProbBound {
+					st.PrunedProb++
+					continue
+				}
+				weight = math.Min(1, math.Max(0, cfg.Weight(w, t)))
+			}
+			if err := b.AddEdge(w.ID(), t.ID, weight); err != nil {
+				panic(err)
+			}
+			st.Edges++
+		}
+	}
+	return b.Build(), st
+}
+
+// mixedRound is a seeded batch snapshot: trainees, workers with a fitted
+// model (so Eq. 3 prunes), some with a reward range; tasks with spread
+// deadlines and rewards.
+func mixedRound(seed int64, nWorkers, nTasks int) ([]*profile.Profile, []taskq.Task) {
+	rng := rand.New(rand.NewSource(seed))
+	reg := profile.NewRegistry()
+	workers := make([]*profile.Profile, 0, nWorkers)
+	for i := 0; i < nWorkers; i++ {
+		p, _ := reg.Register(fmt.Sprintf("w%03d", i), athens)
+		for k, n := 0, rng.Intn(8); k < n; k++ {
+			p.RecordCompletion("traffic", 1+rng.Float64()*30, rng.Intn(3) > 0)
+		}
+		if rng.Intn(3) == 0 {
+			lo := rng.Float64() * 0.5
+			p.SetRewardRange(lo, lo+rng.Float64()*0.5)
+		}
+		workers = append(workers, p)
+	}
+	now := clock.Epoch
+	tasks := make([]taskq.Task, 0, nTasks)
+	for j := 0; j < nTasks; j++ {
+		tk := task(fmt.Sprintf("t%03d", j), time.Duration(1+rng.Intn(120))*time.Second, now)
+		tk.Reward = rng.Float64()
+		if rng.Intn(2) == 0 {
+			tk.Category = "photo"
+		}
+		tasks = append(tasks, tk)
+	}
+	return workers, tasks
+}
+
+func TestBuildGraphMatchesReference(t *testing.T) {
+	now := clock.Epoch
+	var total BuildStats
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		workers, tasks := mixedRound(seed, rng.Intn(30), rng.Intn(30))
+		for _, cfg := range []Config{{}, {NoPruning: true}, {EdgeProbBound: 0.5, TraineeTasks: 1}} {
+			got, gotSt := BuildGraph(cfg, workers, tasks, now)
+			want, wantSt := referenceBuildGraph(cfg, workers, tasks, now)
+			if gotSt != wantSt {
+				t.Fatalf("seed %d cfg %+v: stats %+v, want %+v", seed, cfg, gotSt, wantSt)
+			}
+			if !slices.Equal(got.Edges(), want.Edges()) {
+				t.Fatalf("seed %d cfg %+v: edges differ", seed, cfg)
+			}
+			total.Edges += gotSt.Edges
+			total.PrunedProb += gotSt.PrunedProb
+			total.PrunedReward += gotSt.PrunedReward
+			total.Trainees += gotSt.Trainees
+		}
+	}
+	// The mix must exercise every branch being compared.
+	if total.Edges == 0 || total.PrunedProb == 0 || total.PrunedReward == 0 || total.Trainees == 0 {
+		t.Fatalf("round mix misses a branch: %+v", total)
+	}
+}
+
 func TestTrigger(t *testing.T) {
 	cfg := Config{BatchBound: 10, BatchPeriod: 5 * time.Second}
 	now := clock.Epoch
@@ -334,5 +489,28 @@ func TestQuickSurvivingEdgesMeetBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(61))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var buildSink *bipartite.Graph
+
+// BenchmarkBuildGraph builds one round at the live heavy workload's shape:
+// 690 available workers, all trainees, against 318 unassigned tasks.
+func BenchmarkBuildGraph(b *testing.B) {
+	reg := profile.NewRegistry()
+	workers := make([]*profile.Profile, 0, 690)
+	for i := 0; i < 690; i++ {
+		p, _ := reg.Register(fmt.Sprintf("w%04d", i), athens)
+		workers = append(workers, p)
+	}
+	now := clock.Epoch
+	tasks := make([]taskq.Task, 0, 318)
+	for j := 0; j < 318; j++ {
+		tasks = append(tasks, task(fmt.Sprintf("t%04d", j), time.Minute, now))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSink, _ = BuildGraph(Config{}, workers, tasks, now)
 	}
 }
